@@ -26,53 +26,37 @@ Package layout:
 * :mod:`repro.experiments` — drivers reproducing every table and figure.
 """
 
-from .config import CoreConfig, DramConfig, SystemConfig, baseline_system
-from .core import OPPORTUNISTIC, ParBsScheduler
-from .metrics import WorkloadResult, geomean, unfairness
-from .schedulers import FcfsScheduler, FrFcfsScheduler, NfqScheduler, StfmScheduler
-from .sim import SCHEDULER_NAMES, ExperimentRunner, System, make_scheduler
-from .workloads import (
-    CASE_STUDY_1,
-    CASE_STUDY_2,
-    CASE_STUDY_3,
-    EIGHT_CORE_MIX,
-    FIG8_SAMPLE_MIXES,
-    SIXTEEN_CORE_MIXES,
-    PROFILES,
-    generate_trace,
-    profile,
-    random_mixes,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CoreConfig",
-    "DramConfig",
-    "SystemConfig",
-    "baseline_system",
-    "OPPORTUNISTIC",
-    "ParBsScheduler",
-    "WorkloadResult",
-    "geomean",
-    "unfairness",
-    "FcfsScheduler",
-    "FrFcfsScheduler",
-    "NfqScheduler",
-    "StfmScheduler",
-    "SCHEDULER_NAMES",
-    "ExperimentRunner",
-    "System",
-    "make_scheduler",
-    "CASE_STUDY_1",
-    "CASE_STUDY_2",
-    "CASE_STUDY_3",
-    "EIGHT_CORE_MIX",
-    "FIG8_SAMPLE_MIXES",
-    "SIXTEEN_CORE_MIXES",
-    "PROFILES",
-    "generate_trace",
-    "profile",
-    "random_mixes",
-    "__version__",
-]
+# Resolved on first access, so importing one submodule (say
+# ``repro.campaign.spec``) does not import the whole simulator.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("CoreConfig", "DramConfig", "SystemConfig", "baseline_system"),
+        ".core": ("OPPORTUNISTIC", "ParBsScheduler"),
+        ".metrics": ("WorkloadResult", "geomean", "unfairness"),
+        ".schedulers": (
+            "FcfsScheduler",
+            "FrFcfsScheduler",
+            "NfqScheduler",
+            "StfmScheduler",
+        ),
+        ".sim": ("SCHEDULER_NAMES", "ExperimentRunner", "System", "make_scheduler"),
+        ".workloads": (
+            "CASE_STUDY_1",
+            "CASE_STUDY_2",
+            "CASE_STUDY_3",
+            "EIGHT_CORE_MIX",
+            "FIG8_SAMPLE_MIXES",
+            "SIXTEEN_CORE_MIXES",
+            "PROFILES",
+            "generate_trace",
+            "profile",
+            "random_mixes",
+        ),
+    },
+)
+__all__.append("__version__")

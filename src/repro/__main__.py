@@ -22,22 +22,12 @@ import logging
 import os
 import sys
 
-from .config import baseline_system
+# Only what every invocation needs: the error types main() reports.  Each
+# subcommand imports what it runs, so ``campaign report`` never loads the
+# simulator.
 from .envknobs import EnvKnobError
 from .events import SimulationStalled
 from .guard import InvariantViolation
-from .experiments.ablations import (
-    batching_choice_sweep,
-    marking_cap_sweep,
-    ranking_scheme_sweep,
-)
-from .experiments.abstract_fig3 import run_fig3
-from .experiments.aggregate import run_aggregate
-from .experiments.case_studies import CASE_STUDIES, run_case_study
-from .experiments.characterization import run_characterization
-from .experiments.priorities import run_opportunistic, run_weighted_lbm
-from .experiments.summary import run_table4
-from .sim.runner import ExperimentRunner
 from .workloads.mixes import UnknownMixError
 
 _CASE_ALIASES = {
@@ -148,7 +138,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("priorities", help="Figure 14: thread priorities")
 
     case = sub.add_parser("case-study", help="Figures 5/6/7/9")
-    case.add_argument("name", choices=sorted(_CASE_ALIASES) + sorted(CASE_STUDIES))
+    # The aliases' targets are exactly the case-study names (pinned by a
+    # test), so the parser need not import the experiment module.
+    case.add_argument(
+        "name", choices=sorted(_CASE_ALIASES) + sorted(_CASE_ALIASES.values())
+    )
 
     agg = sub.add_parser("aggregate", help="Figures 8/10: workload averages")
     agg.add_argument("--cores", type=int, default=4, choices=(4, 8, 16))
@@ -452,21 +446,31 @@ def _dispatch(args: argparse.Namespace, instructions: int | None) -> int:
         print(_EXPERIMENTS)
         return 0
     if args.command == "fig3":
+        from .experiments.abstract_fig3 import run_fig3
+
         print(run_fig3().report())
         return 0
     if args.command == "characterize":
+        from .experiments.characterization import run_characterization
+
         print(run_characterization(instructions=instructions).report())
         return 0
     if args.command == "priorities":
+        from .experiments.priorities import run_opportunistic, run_weighted_lbm
+
         print(run_weighted_lbm(instructions=instructions).report())
         print()
         print(run_opportunistic(instructions=instructions).report())
         return 0
     if args.command == "case-study":
+        from .experiments.case_studies import run_case_study
+
         name = _CASE_ALIASES.get(args.name, args.name)
         print(run_case_study(name, instructions=instructions).report())
         return 0
     if args.command == "aggregate":
+        from .experiments.aggregate import run_aggregate
+
         result = run_aggregate(
             args.cores,
             count=args.count,
@@ -476,12 +480,22 @@ def _dispatch(args: argparse.Namespace, instructions: int | None) -> int:
         print(result.report())
         return 0
     if args.command == "table4":
+        from .experiments.summary import run_table4
+
         counts = None
         if args.count is not None:
             counts = {4: args.count, 8: args.count, 16: args.count}
         print(run_table4(counts=counts, instructions=instructions).report())
         return 0
     if args.command == "sweep":
+        from .config import baseline_system
+        from .experiments.ablations import (
+            batching_choice_sweep,
+            marking_cap_sweep,
+            ranking_scheme_sweep,
+        )
+        from .sim.runner import ExperimentRunner
+
         runner = ExperimentRunner(baseline_system(4), instructions=instructions)
         if args.kind == "marking-cap":
             result = marking_cap_sweep(count=args.count, runner=runner)
@@ -512,14 +526,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _dispatch_campaign(args: argparse.Namespace, instructions: int | None) -> int:
-    from .campaign import (
-        ResultStore,
-        campaign_report,
-        export_text,
-        load_spec,
-        run_campaign,
-        status_report,
-    )
+    # Names come from the package (not its submodules) so a caller that
+    # rebinds ``repro.campaign.campaign_report`` reaches this call site;
+    # each action imports only what it runs.
+    from .campaign import ResultStore, load_spec
 
     if args.action == "status" and args.spec is None:
         with ResultStore(args.db) as store:
@@ -551,6 +561,8 @@ def _dispatch_campaign(args: argparse.Namespace, instructions: int | None) -> in
         if args.dry_run:
             print(spec.describe())
             return 0
+        from .campaign import run_campaign
+
         chaos = None
         if args.chaos is not None:
             from .guard.chaos import ChaosPlan
@@ -593,6 +605,8 @@ def _dispatch_campaign(args: argparse.Namespace, instructions: int | None) -> in
         return 1 if stats.failed else 0
     if args.action == "watch":
         return _campaign_watch(spec, args)
+    from .campaign import campaign_report, export_text, status_report
+
     with ResultStore(args.db) as store:
         if args.action == "status":
             print(status_report(spec, store))
@@ -771,6 +785,8 @@ def _dispatch_trace(args: argparse.Namespace, instructions: int | None) -> int:
             print(f"{name}: {path}")
         return 0
     if args.action == "run":
+        from .config import baseline_system
+        from .sim.runner import ExperimentRunner
         from .workloads.mixes import get_mix
 
         if args.mix and args.threads:

@@ -34,46 +34,32 @@ campaigns under the hood, so every figure pipeline is restartable and
 queryable.
 """
 
-from .manifest import MANIFEST_VERSION, build_manifest
-from .orchestrator import RunStats, run_and_collect, run_campaign
-from .queue import QUEUE_STATS, Lease, LeaseQueue
-from .report import campaign_report, export_rows, export_text, status_report
-from .serde import result_from_dict, result_from_json, result_to_dict, result_to_json
-from .spec import CampaignJob, CampaignSpec, Variant, load_spec, spec_from_dict
-from .store import SCHEMA_VERSION, STORE_STATS, ResultStore, default_db_path
-from .watch import merged_metrics, watch_counts, watch_report
-from .worker import LeaseLost, WorkerStats, drain_campaign
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CampaignJob",
-    "CampaignSpec",
-    "Lease",
-    "LeaseLost",
-    "LeaseQueue",
-    "MANIFEST_VERSION",
-    "QUEUE_STATS",
-    "ResultStore",
-    "RunStats",
-    "WorkerStats",
-    "SCHEMA_VERSION",
-    "STORE_STATS",
-    "Variant",
-    "build_manifest",
-    "campaign_report",
-    "default_db_path",
-    "drain_campaign",
-    "export_rows",
-    "export_text",
-    "load_spec",
-    "merged_metrics",
-    "result_from_dict",
-    "result_from_json",
-    "result_to_dict",
-    "result_to_json",
-    "run_and_collect",
-    "run_campaign",
-    "spec_from_dict",
-    "status_report",
-    "watch_counts",
-    "watch_report",
-]
+# Resolved on first access: ``campaign report`` imports the store and the
+# report renderer, never the orchestrator, the pool or the simulator.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".manifest": ("MANIFEST_VERSION", "build_manifest"),
+        ".orchestrator": ("RunStats", "run_and_collect", "run_campaign"),
+        ".queue": ("QUEUE_STATS", "Lease", "LeaseQueue"),
+        ".report": ("campaign_report", "export_rows", "export_text", "status_report"),
+        ".serde": (
+            "result_from_dict",
+            "result_from_json",
+            "result_to_dict",
+            "result_to_json",
+        ),
+        ".spec": (
+            "CampaignJob",
+            "CampaignSpec",
+            "Variant",
+            "load_spec",
+            "spec_from_dict",
+        ),
+        ".store": ("SCHEMA_VERSION", "STORE_STATS", "ResultStore", "default_db_path"),
+        ".watch": ("merged_metrics", "watch_counts", "watch_report"),
+        ".worker": ("LeaseLost", "WorkerStats", "drain_campaign"),
+    },
+)

@@ -59,7 +59,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from ..config import SystemConfig, baseline_system
+from ..config import (
+    SystemConfig,
+    baseline_system,
+    default_instructions,
+    default_workload_count,
+)
 from ..sim.diskcache import SIM_FINGERPRINT, content_key
 from ..sim.factory import make_scheduler
 from ..workloads.mixes import (
@@ -345,9 +350,6 @@ class CampaignSpec:
                 out.extend(list(m) for m in SIXTEEN_CORE_MIXES.values())
         out.extend(list(m) for m in self.mixes if len(m) == cores)
         if self.mix_count != 0:
-            # Local import: aggregate.py imports this module back.
-            from ..experiments.aggregate import default_workload_count
-
             count = (
                 self.mix_count
                 if self.mix_count is not None
@@ -410,8 +412,6 @@ class CampaignSpec:
         return content_key([data, self.resolved_instructions()])
 
     def resolved_instructions(self) -> int:
-        from ..sim.runner import default_instructions
-
         return self.instructions or default_instructions()
 
     # -- expansion -----------------------------------------------------------

@@ -164,14 +164,40 @@ class ResultStore:
             Path(raw).parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(raw)
         self._conn.row_factory = sqlite3.Row
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
+        # The busy timeout goes first: every later statement may meet a
+        # peer connection's lock.
         busy_s = read_float(
             "REPRO_STORE_BUSY_TIMEOUT_S", _BUSY_TIMEOUT_DEFAULT_S, floor=0.0
         )
         self._conn.execute(f"PRAGMA busy_timeout={int(busy_s * 1000)}")
+        self._enable_wal(busy_s)
+        self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute("PRAGMA foreign_keys=ON")
         self._migrate()
+
+    def _enable_wal(self, busy_s: float) -> None:
+        """Switch the database to WAL mode, waiting out concurrent openers.
+
+        Switching a fresh file to WAL takes its write lock, and while a
+        peer connection holds that lock SQLite reports ``database is
+        locked`` at once instead of calling the busy handler.  N processes
+        (or threads) opening a new shared store together all get here at
+        the same moment, so retry until the busy-timeout deadline; once
+        one opener has switched the file, the rest read ``wal`` and stop.
+        """
+        deadline = time.monotonic() + busy_s
+        delay = 0.001
+        while True:
+            try:
+                mode = self._conn.execute("PRAGMA journal_mode").fetchone()[0]
+                if mode != "wal":
+                    self._conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError:
+                if time.monotonic() >= deadline:
+                    raise
+                time.sleep(delay)
+                delay = min(delay * 2, 0.05)
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:

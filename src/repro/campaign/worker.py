@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -420,6 +419,10 @@ class _Drain:
         """Run the held jobs over pool generations with incident recovery
         — the pre-queue orchestrator's machinery, minus result commits
         (those go through the fenced queue) plus lease renewal."""
+        # Imported here: it pulls in multiprocessing, which a serial drain
+        # never needs.
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         remaining: list[tuple[str, int]] = [(key, 0) for key in held]
         incidents = 0
         while remaining:

@@ -1,6 +1,12 @@
 """Trace-driven processor core models."""
 
-from .core import Core, CoreSnapshot, MemoryPort
-from .trace import Trace, TraceEntry
+from .._lazy import lazy_exports
 
-__all__ = ["Core", "CoreSnapshot", "MemoryPort", "Trace", "TraceEntry"]
+# Resolved on first access: trace containers do not need the core model.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".core": ("Core", "CoreSnapshot", "MemoryPort"),
+        ".trace": ("Trace", "TraceEntry"),
+    },
+)

@@ -1,24 +1,18 @@
 """DRAM substrate: timing, banks, buses, channels and the memory controller."""
 
-from .address import AddressMapping, DramCoordinates
-from .bank import AccessOutcome, Bank
-from .bus import DataBus
-from .channel import Channel
-from .controller import MemoryController, ThreadMemStats
-from .request import MemoryRequest, RequestType
-from .timing import DramTiming, ddr2_800
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AddressMapping",
-    "DramCoordinates",
-    "AccessOutcome",
-    "Bank",
-    "DataBus",
-    "Channel",
-    "MemoryController",
-    "ThreadMemStats",
-    "MemoryRequest",
-    "RequestType",
-    "DramTiming",
-    "ddr2_800",
-]
+# Resolved on first access: ``repro.config`` needs only the address
+# mapping and the timing tables, not the memory controller.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".address": ("AddressMapping", "DramCoordinates"),
+        ".bank": ("AccessOutcome", "Bank"),
+        ".bus": ("DataBus",),
+        ".channel": ("Channel",),
+        ".controller": ("MemoryController", "ThreadMemStats"),
+        ".request": ("MemoryRequest", "RequestType"),
+        ".timing": ("DramTiming", "ddr2_800"),
+    },
+)

@@ -10,15 +10,12 @@ math of :meth:`Bank.service <repro.dram.bank.Bank.service>` +
 slots instead of object attribute chains, which is what the fast
 controller's fused issue path runs on.
 
-Vectorized queries (``next_bank_ready``, ``busy_until_array``,
-``bank_state_matrix``) are answered with numpy min/mask operations when
-numpy is available; the scalar per-access path deliberately stays on plain
-Python lists — at the paper's 8 banks/channel, numpy's per-element indexing
-overhead costs more than it saves, while ``lst[kid]`` is both flat and
-cheap.  The arrays are the state of record while a fast run is in flight;
-:meth:`sync_to` writes them back into the :class:`~repro.dram.bank.Bank` /
-:class:`~repro.dram.bus.DataBus` objects so reporting, diagnostics and the
-verify harness read the same end state either way.
+The arrays are plain Python lists: at the paper's 8 banks/channel,
+``lst[kid]`` is both flat and cheap.  They are the state of record while
+a fast run is in flight; :meth:`sync_to` writes them back into the
+:class:`~repro.dram.bank.Bank` / :class:`~repro.dram.bus.DataBus` objects
+so reporting, diagnostics and the verify harness read the same end state
+either way.
 """
 
 from __future__ import annotations
@@ -31,14 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .channel import Channel
     from .timing import DramTiming
 
-try:  # Vectorized helpers only; the scalar hot path never needs numpy.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
-__all__ = ["FastDramState", "HAVE_NUMPY"]
-
-HAVE_NUMPY = _np is not None
+__all__ = ["FastDramState"]
 
 # Mirrors Bank.__init__: "never activated" sentinel for the tRAS bound.
 _NEVER_ACTIVATED = -(10**9)
@@ -189,43 +179,6 @@ class FastDramState:
             self.last_command[channel_id] = now
             return now
         return slot
-
-    # -- vectorized queries ------------------------------------------------
-    def busy_until_array(self):
-        """Per-bank busy-until times as a numpy vector (or a list copy)."""
-        if _np is not None:
-            return _np.asarray(self.busy_until, dtype=_np.int64)
-        return list(self.busy_until)
-
-    def next_bank_ready(self, now: int) -> int | None:
-        """Earliest future cycle any bank becomes ready (skip-ahead bound).
-
-        A vectorized mask + min over the busy-until array; ``None`` when
-        every bank is already idle at ``now``.
-        """
-        if _np is not None:
-            arr = _np.asarray(self.busy_until, dtype=_np.int64)
-            future = arr[arr > now]
-            return int(future.min()) if future.size else None
-        future = [b for b in self.busy_until if b > now]
-        return min(future) if future else None
-
-    def bank_state_matrix(self):
-        """All per-bank state as one (num_banks_total, 6) integer matrix
-        (open rows encoded as -1 when closed); rows align with
-        ``Bank.state_tuple`` minus the row-result string."""
-        rows = [-1 if r is None else r for r in self.open_row]
-        columns = [
-            rows,
-            self.busy_until,
-            self.activate_time,
-            self.write_recovery,
-            self.accesses,
-            self.row_hits,
-        ]
-        if _np is not None:
-            return _np.asarray(columns, dtype=_np.int64).T
-        return [list(col) for col in zip(*columns)]
 
     # -- verify / reporting interop ---------------------------------------
     def state_tuple(self, kid: int) -> tuple:

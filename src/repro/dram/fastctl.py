@@ -55,11 +55,6 @@ from .fastsched import FastBankSched
 from .request import MemoryRequest, RequestType, _request_ids
 from .rqindex import WriteFifo
 
-try:  # Setup-time vectorized decode only; the hot path never needs numpy.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 if TYPE_CHECKING:  # pragma: no cover
     from ..config import DramConfig
     from ..events import EventQueue
@@ -289,37 +284,21 @@ class FastMemoryController(MemoryController):
         self._xor = mapping.xor_bank_hash
 
     def predecode(self, addresses) -> None:
-        """Vector-decode a batch of addresses into the memo (setup time).
+        """Decode a batch of addresses into the memo (setup time).
 
-        Traces are known before the run starts, so one numpy pass over the
-        workload's address set replaces the tens of thousands of scalar
-        decode misses the run would otherwise take on its hot path.  Falls
-        back to the scalar arithmetic without numpy.
+        Traces are known before the run starts, so decoding the workload's
+        address set here keeps the tens of thousands of decode misses the
+        run would otherwise take off its hot path.
         """
-        addrs = list(addresses)
         coords = self._coords
-        nbk = self._nbk
-        if _np is not None and addrs:
-            a = _np.asarray(addrs, dtype=_np.int64)
-            line = (a // 64) // self._cpr
-            channel = line % self._nch
-            line //= self._nch
+        cpr, nch, nbk, xor = self._cpr, self._nch, self._nbk, self._xor
+        for addr in addresses:
+            line = (addr // 64) // cpr
+            channel = line % nch
+            line //= nch
             bank = line % nbk
             row = line // nbk
-            if self._xor:
-                bank ^= row % nbk
-            for addr, coord in zip(
-                addrs, zip(channel.tolist(), bank.tolist(), row.tolist())
-            ):
-                coords[addr] = coord
-            return
-        for addr in addrs:
-            line = (addr // 64) // self._cpr
-            channel = line % self._nch
-            line //= self._nch
-            bank = line % nbk
-            row = line // nbk
-            if self._xor:
+            if xor:
                 bank ^= row % nbk
             coords[addr] = (channel, bank, row)
 

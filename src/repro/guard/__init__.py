@@ -27,19 +27,18 @@ and pays a single local ``is not None`` test — the bench regression gate
 runs with guards compiled out.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-from ..events import SimulationStalled
-from .chaos import ChaosInjectedError, ChaosPlan, chaos_from_env
-from .invariants import GUARD_MODES, Guard, InvariantViolation, guard_from_env
-
-__all__ = [
-    "GUARD_MODES",
-    "ChaosInjectedError",
-    "ChaosPlan",
-    "Guard",
-    "InvariantViolation",
-    "SimulationStalled",
-    "chaos_from_env",
-    "guard_from_env",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "..events": ("SimulationStalled",),
+        ".chaos": ("ChaosInjectedError", "ChaosPlan", "chaos_from_env"),
+        ".invariants": (
+            "GUARD_MODES",
+            "Guard",
+            "InvariantViolation",
+            "guard_from_env",
+        ),
+    },
+)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import multiprocessing
 import os
 import sqlite3
 import tempfile
@@ -200,13 +199,15 @@ class ChaosPlan:
         :class:`ChaosInjectedError` (killing the CLI would defeat the
         point of testing recovery).
         """
+        from multiprocessing import parent_process
+
         if self.fire_once("kill", key):
-            if multiprocessing.parent_process() is not None:
+            if parent_process() is not None:
                 logger.warning("chaos: killing worker on job %s", key[:12])
                 os._exit(137)
             raise ChaosInjectedError(f"chaos: injected worker kill for job {key[:12]}")
         if self.fire_once("hang", key):
-            if multiprocessing.parent_process() is not None:
+            if parent_process() is not None:
                 logger.warning("chaos: hanging worker on job %s", key[:12])
                 time.sleep(HANG_SECONDS)
                 os._exit(137)

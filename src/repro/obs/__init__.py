@@ -33,55 +33,34 @@ hash), and the CLI (``--trace`` / ``--trace-events`` /
 environment variables).
 """
 
-from .config import TraceConfig
-from .export import to_json, to_prometheus, write_snapshot
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    collect_process_metrics,
-    job_metrics,
-    merge_job_metrics,
-    metrics_enabled,
-    metrics_from_env,
-    reset_metrics,
-)
-from .perfetto import chrome_trace, write_chrome_trace
-from .sampler import LatencyHistogram, Telemetry, TelemetrySummary
-from .trace import (
-    CATEGORIES,
-    JsonlSink,
-    Probe,
-    RingBufferSink,
-    Tracer,
-    read_jsonl,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CATEGORIES",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "JsonlSink",
-    "LatencyHistogram",
-    "MetricsRegistry",
-    "Probe",
-    "RingBufferSink",
-    "Telemetry",
-    "TelemetrySummary",
-    "TraceConfig",
-    "Tracer",
-    "chrome_trace",
-    "collect_process_metrics",
-    "job_metrics",
-    "merge_job_metrics",
-    "metrics_enabled",
-    "metrics_from_env",
-    "read_jsonl",
-    "reset_metrics",
-    "to_json",
-    "to_prometheus",
-    "write_chrome_trace",
-    "write_snapshot",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("TraceConfig",),
+        ".export": ("to_json", "to_prometheus", "write_snapshot"),
+        ".metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "collect_process_metrics",
+            "job_metrics",
+            "merge_job_metrics",
+            "metrics_enabled",
+            "metrics_from_env",
+            "reset_metrics",
+        ),
+        ".perfetto": ("chrome_trace", "write_chrome_trace"),
+        ".sampler": ("LatencyHistogram", "Telemetry", "TelemetrySummary"),
+        ".trace": (
+            "CATEGORIES",
+            "JsonlSink",
+            "Probe",
+            "RingBufferSink",
+            "Tracer",
+            "read_jsonl",
+        ),
+    },
+)

@@ -1,19 +1,13 @@
 """System assembly and experiment running."""
 
-from .factory import SCHEDULER_NAMES, make_scheduler
-from .runner import AloneStats, ExperimentRunner, default_instructions
-from .system import DramPort, System
-from .verify import BACKENDS, BackendMismatch, backend_from_env
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SCHEDULER_NAMES",
-    "make_scheduler",
-    "AloneStats",
-    "ExperimentRunner",
-    "default_instructions",
-    "DramPort",
-    "System",
-    "BACKENDS",
-    "BackendMismatch",
-    "backend_from_env",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".factory": ("SCHEDULER_NAMES", "make_scheduler"),
+        ".runner": ("AloneStats", "ExperimentRunner", "default_instructions"),
+        ".system": ("DramPort", "System"),
+        ".verify": ("BACKENDS", "BackendMismatch", "backend_from_env"),
+    },
+)

@@ -29,9 +29,8 @@ from __future__ import annotations
 import logging
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from contextlib import contextmanager
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -42,6 +41,8 @@ from ..obs.config import TraceConfig
 from .diskcache import GLOBAL_STATS, content_key
 
 if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import ProcessPoolExecutor
+
     from ..metrics.summary import WorkloadResult
     from .runner import ExperimentRunner
 
@@ -344,6 +345,10 @@ def _pool_pass(
     lost when the pool dies); a broken pool or a no-progress window
     raises :class:`_PoolIncident` after terminating every worker.
     """
+    # Imported here: it pulls in multiprocessing, which a serial run and
+    # the read-only CLI paths never need.
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=min(workers, len(indexes)))
     try:
         futures = {pool.submit(run_job, jobs[i]): i for i in indexes}

@@ -20,47 +20,34 @@ on *external* traces:
   and the registry behind ``trace:<name>`` workload entries.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-from .decoder import DECODER_PRESETS, AddressDecoder, DecodedAddress, parse_decoder
-from .formats import (
-    IngestStats,
-    TraceFormatError,
-    TraceRecord,
-    detect_format,
-    open_trace,
-    parse_k6_line,
-    parse_mase_line,
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".decoder": (
+            "DECODER_PRESETS",
+            "AddressDecoder",
+            "DecodedAddress",
+            "parse_decoder",
+        ),
+        ".formats": (
+            "IngestStats",
+            "TraceFormatError",
+            "TraceRecord",
+            "detect_format",
+            "open_trace",
+            "parse_k6_line",
+            "parse_mase_line",
+        ),
+        ".library": (
+            "SAMPLE_TRACES",
+            "SampleTrace",
+            "ensure_sample_trace",
+            "sample_trace_path",
+            "synthesize_trace_lines",
+            "trace_dir",
+        ),
+        ".source": ("TraceFileRef", "TraceRequestSource", "trace_content_sha256"),
+    },
 )
-from .library import (
-    SAMPLE_TRACES,
-    SampleTrace,
-    ensure_sample_trace,
-    sample_trace_path,
-    synthesize_trace_lines,
-    trace_dir,
-)
-from .source import TraceFileRef, TraceRequestSource, trace_content_sha256
-
-__all__ = [
-    "AddressDecoder",
-    "DECODER_PRESETS",
-    "DecodedAddress",
-    "IngestStats",
-    "SAMPLE_TRACES",
-    "SampleTrace",
-    "TraceFileRef",
-    "TraceFormatError",
-    "TraceRecord",
-    "TraceRequestSource",
-    "detect_format",
-    "ensure_sample_trace",
-    "open_trace",
-    "parse_decoder",
-    "parse_k6_line",
-    "parse_mase_line",
-    "sample_trace_path",
-    "synthesize_trace_lines",
-    "trace_content_sha256",
-    "trace_dir",
-]

@@ -1,6 +1,9 @@
 """Tests for the SQLite result store: round-trips, migrations, sharing."""
 
 import sqlite3
+import sys
+import threading
+import time
 
 import pytest
 
@@ -218,6 +221,60 @@ def test_newer_schema_refused(tmp_path):
 def test_fresh_db_is_current_version(tmp_path):
     with ResultStore(tmp_path / "new.sqlite") as store:
         assert store.schema_version() == SCHEMA_VERSION
+
+
+def test_opener_waits_out_a_peer_holding_the_fresh_db_write_lock(tmp_path):
+    """An opener switching a fresh database to WAL while a peer holds its
+    write lock (as a peer does mid-switch) waits for the peer instead of
+    failing at once with ``database is locked``."""
+    path = tmp_path / "fresh.sqlite"
+    peer = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+    peer.execute("BEGIN IMMEDIATE")
+    release = threading.Timer(0.2, peer.execute, ("COMMIT",))
+    release.start()
+    try:
+        with ResultStore(path) as store:
+            assert store.schema_version() == SCHEMA_VERSION
+            mode = store._conn.execute("PRAGMA journal_mode").fetchone()[0]
+            assert mode == "wal"
+    finally:
+        release.join()
+        peer.close()
+
+
+def test_concurrent_openers_of_a_fresh_db_all_succeed(tmp_path):
+    """Eight connections opening one new database at the same instant all
+    succeed: the WAL switch waits out its peers instead of failing with
+    ``database is locked``."""
+    openers, rounds = 8, 50
+    deadline = time.monotonic() + 60.0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the openers more finely
+    try:
+        for round_ in range(rounds):
+            path = tmp_path / f"fresh-{round_}.sqlite"
+            barrier = threading.Barrier(openers)
+            errors: list[BaseException] = []
+            versions: list[int] = []
+
+            def open_store() -> None:
+                try:
+                    barrier.wait(timeout=10)
+                    with ResultStore(path) as store:
+                        versions.append(store.schema_version())
+                except BaseException as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=open_store) for _ in range(openers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not any(thread.is_alive() for thread in threads), "opener hung"
+            assert errors == [], f"round {round_}: {errors[0]!r}"
+            assert versions == [SCHEMA_VERSION] * openers
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- default path -------------------------------------------------------------

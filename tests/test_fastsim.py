@@ -9,6 +9,7 @@ and metrics — only cheaper per event.  These tests pin that contract:
 - the flat-array timing kernel against ``Bank.service`` + ``DataBus``;
 - ``fast_access``-constructed requests against the dataclass constructor,
   field for field;
+- ``predecode`` and the memo-miss decode against ``AddressMapping.map``;
 - strict-guard runs on the fast path (every invariant holds);
 - the runner's ``verify`` mode and its divergence detection;
 - serial/parallel equality of fast-backend results through the pool.
@@ -22,7 +23,8 @@ from functools import lru_cache
 
 import pytest
 
-from repro.config import baseline_system
+from repro.config import DramConfig, baseline_system
+from repro.dram.address import AddressMapping
 from repro.dram.bank import Bank
 from repro.dram.bus import DataBus
 from repro.dram.fastbank import FastDramState
@@ -41,6 +43,7 @@ from repro.sim.verify import (
     compare_results,
     compare_systems,
 )
+from repro.traces.decoder import DECODER_PRESETS
 
 INSTRUCTIONS = 8_000
 WORKLOADS = {
@@ -158,6 +161,52 @@ def test_fast_access_request_matches_dataclass_constructor():
             reference, field.name
         ), field.name
     assert fast_request.is_read is True
+
+
+def _decode_cases():
+    for preset in sorted(DECODER_PRESETS):
+        for xor in (True, False):
+            for channels in (1, 2, 4):
+                yield preset, xor, channels
+
+
+@pytest.mark.parametrize("preset,xor,channels", list(_decode_cases()))
+def test_predecode_and_memo_miss_match_address_mapping(preset, xor, channels):
+    """``predecode`` and the ``fast_access`` memo-miss decode give exactly
+    ``AddressMapping.map``'s (channel, bank, row) for trace addresses laid
+    out by every decoder preset."""
+    decoder = DECODER_PRESETS[preset]
+    mapping = AddressMapping(num_channels=channels, xor_bank_hash=xor)
+    rng = random.Random(f"{preset}-{xor}-{channels}")
+    raw = [0, (1 << decoder.width) - 1]
+    raw += [rng.getrandbits(decoder.width) for _ in range(200)]
+    addresses = sorted({decoder.map_to(mapping, address) for address in raw})
+    expected = {}
+    for address in addresses:
+        coords = mapping.map(address)
+        expected[address] = (coords.channel, coords.bank, coords.row)
+
+    def controller():
+        ctl = FastMemoryController(
+            EventQueue(),
+            DramConfig(num_channels=channels),
+            make_scheduler("FR-FCFS", 4),
+            num_threads=4,
+        )
+        return ctl, FastDramPort(ctl, mapping)
+
+    predecoded, _port = controller()
+    predecoded.predecode(set(addresses))
+    assert predecoded._coords == expected
+
+    missed, port = controller()
+    for address in addresses:
+        port.fast_access(0, address, False, None, None)
+    assert missed._coords == expected
+    requests = sorted(
+        (r.address, (r.channel, r.bank, r.row)) for r in missed.buffered_reads()
+    )
+    assert requests == sorted(expected.items())
 
 
 # -- guard ---------------------------------------------------------------------
