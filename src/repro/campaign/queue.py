@@ -92,13 +92,15 @@ class Lease:
 
     ``attempt`` is the fencing token: the job's ``lease_seq`` at claim
     time.  Completion/renewal succeed only while the (worker_id, attempt)
-    pair matches the live lease row.
+    pair matches the live lease row.  ``reclaimed`` is True when the
+    claim took the job over from a peer whose lease had expired.
     """
 
     key: str
     worker_id: str
     attempt: int
     deadline: float
+    reclaimed: bool = False
 
 
 def _worker_id() -> str:
@@ -177,7 +179,8 @@ class LeaseQueue:
 
         Runnable means: registered, not ``done``, and carrying no live
         lease.  An *expired* lease on the key is reclaimed in the same
-        transaction (its job is re-issued to this worker).  Returns
+        transaction (its job is re-issued to this worker, and the lease
+        says so in ``Lease.reclaimed``).  Returns
         ``None`` when every key is done or leased out to live workers.
         """
 
@@ -247,7 +250,9 @@ class LeaseQueue:
                         ),
                     )
                     QUEUE_STATS["leases_claimed"] += 1
-                    return Lease(key, self.worker_id, seq, deadline)
+                    return Lease(
+                        key, self.worker_id, seq, deadline, stale is not None
+                    )
             return None
 
         return self._txn("claim", fn)

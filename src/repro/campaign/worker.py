@@ -259,6 +259,13 @@ class _Drain:
         reclaimed = self.queue.reclaim_expired()
         self.stats.reclaimed += len(reclaimed)
 
+    def _count_claim(self, lease: Lease) -> None:
+        # A peer lease that expired after ``_reclaim`` is taken over inside
+        # ``claim_next`` itself; it counts as a reclaim all the same.
+        self.stats.claimed += 1
+        if lease.reclaimed:
+            self.stats.reclaimed += 1
+
     # -- one leased execution (serial / fallback path) ------------------------
     def _heartbeat_tick(self, lease_box: list[Lease], frozen: bool):
         next_beat = [time.monotonic() + self.heartbeat_s]
@@ -340,7 +347,7 @@ class _Drain:
             lease = self.queue.claim_next(self.unresolved)
             if lease is not None:
                 idle_logged = False
-                self.stats.claimed += 1
+                self._count_claim(lease)
                 self._run_leased(lease)
                 continue
             # Everything left is done (settled next pass) or leased to a
@@ -371,7 +378,7 @@ class _Drain:
             lease = self.queue.claim_next(claimable)
             if lease is None:
                 break
-            self.stats.claimed += 1
+            self._count_claim(lease)
             held[lease.key] = lease
             claimable.remove(lease.key)
         return held

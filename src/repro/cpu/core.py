@@ -20,6 +20,22 @@ request dispatches and data returns.  This keeps whole-system simulation
 event-driven and fast while matching a cycle-stepped window model at
 retire-width granularity.
 
+When the core integrates.  The advance loop is *split-invariant*:
+integrating from ``t`` to ``now`` in one call leaves the same state as
+stopping at any time in between, as long as no event touches the core in
+between.  So the core integrates only when its trajectory can change: at
+its own wakes, and at data returns that can move retirement or dispatch.
+A data return is *deferred* when the load is not the oldest incomplete one
+(commit still waits on ``_pending[0]``), no wake is armed at the current
+time, dispatch is not waiting for an MSHR, and no trace probe is attached
+(stall/unstall edges must be emitted in event order).  A deferred return
+only marks the load done, frees its MSHR, releases the accesses waiting on
+its data and records the time in ``_lazy_until``; ``_t`` stays at the last
+sync.  :meth:`Core.catch_up` is the explicit sync point for anyone reading
+the progress counters from outside the core's own events — ``System.run``
+calls it at end of run and before the no-progress watchdog reads them — so
+post-run state is identical to integrating at every return.
+
 Statistics follow the paper's definitions: ``stall_cycles`` counts cycles
 where commit is blocked by an incomplete DRAM load (→ MCPI, memory
 slowdown, AST/req).
@@ -115,12 +131,15 @@ class Core:
         "_trace_end_index",
         "_cum_index",
         "_next_mem_index",
+        "_r_limit",
+        "_lazy_until",
         "_pending",
         "_incomplete_gpos",
         "_dep_waiters",
         "_pass_count",
         "mshr_in_use",
         "stall_cycles",
+        "deferred_returns",
         "loads_issued",
         "stores_issued",
         "finished",
@@ -175,6 +194,9 @@ class Core:
         self._trace_end_index = trace.total_instructions
         self._cum_index = trace.cum_index
         self._next_mem_index = self._mem_index(0)
+        self._r_limit = self._trace_end_index  # retire limit (see _advance)
+        # Time of the last deferred data return (see ``catch_up``).
+        self._lazy_until = 0
 
         # Incomplete loads in program order.  Completed loads retire from
         # the front on every data return (the simulator's hottest
@@ -189,6 +211,9 @@ class Core:
 
         # Statistics.
         self.stall_cycles = 0
+        # Data returns that took the deferred path: a deterministic work
+        # counter, equal on both simulation backends.
+        self.deferred_returns = 0
         self.loads_issued = 0
         self.stores_issued = 0
         self.finished = False
@@ -225,67 +250,88 @@ class Core:
         self._advance(self.queue.now, True)
 
     def _on_data(self, load: _PendingLoad) -> None:
-        self._advance(self.queue.now)
-        load.done = True
-        self.mshr_in_use -= 1
-        self._incomplete_gpos.discard(load.gpos)
-        pending = self._pending
-        while pending and pending[0].done:
-            pending.popleft()
-        # Release accesses that were waiting on this load's data (the
-        # truthiness guard keeps dependency-free traces off the dict).
-        waiters = self._dep_waiters
-        if waiters:
-            for address, is_write, waiter in waiters.pop(load.gpos, ()):
-                self._send(address, is_write, waiter)
-        self._advance(self.queue.now, True)
+        now = self.queue.now
+        trace_pos = self._trace_pos
+        if (
+            load is not self._pending[0]
+            and self._wake_at != now
+            and self._probe is None
+            and (
+                self.mshr_in_use < self._mshrs
+                or trace_pos >= self._trace_len
+                or self._entries[trace_pos].is_write
+            )
+        ):
+            # Deferred return (see "When the core integrates" in the
+            # module docstring): commit still waits on the older
+            # ``_pending[0]`` and dispatch is not short of an MSHR, so
+            # this load cannot move the core's trajectory.  Bookkeeping
+            # only; ``_t`` stays where the last sync left it.
+            load.done = True
+            self.mshr_in_use -= 1
+            self._incomplete_gpos.discard(load.gpos)
+            waiters = self._dep_waiters
+            if waiters:
+                for address, is_write, waiter in waiters.pop(load.gpos, ()):
+                    self._send(address, is_write, waiter)
+            self._lazy_until = now
+            self.deferred_returns += 1
+            return
+        self._advance(now, True, load)
+
+    def catch_up(self) -> None:
+        """Integrate through the last deferred data return.
+
+        A sync point for readers of the core's progress counters outside
+        its own events (end of run, the no-progress watchdog): afterwards
+        the state is exactly what integrating at every data return would
+        have left.
+        """
+        if self._lazy_until > self._t:
+            self._advance(self._lazy_until)
 
     # -- the analytical engine -----------------------------------------------------
-    def _advance(self, now: int, plan: bool = False) -> None:
+    def _advance(
+        self, now: int, plan: bool = False, load: _PendingLoad | None = None
+    ) -> None:
         """Bring retirement/dispatch pointers forward to time ``now``.
 
-        With ``plan=True`` the wake planner (see :meth:`_reschedule`) runs
-        in the same frame afterwards — every wake and data return needs
-        both, and fusing them saves a call plus re-loading the state the
-        advance loop already holds.
+        ``load``, when given, is a data return applied at ``now`` after
+        the integration.  With ``plan=True`` the wake planner runs in the
+        same frame afterwards: it arms a wake at the earliest future time
+        the core makes progress without external events (the next request
+        dispatch or final retirement) and stays silent when only a data
+        return can unblock it.
 
         This loop is the single hottest path of the whole simulator, so it
         avoids attribute chasing and float math: loop-invariant parameters
-        live in locals, and the ceil divisions use integer arithmetic.
+        and the progress pointers live in locals (written back only around
+        :meth:`_complete_pass` and at exit), dispatch is inlined, and the
+        ceil divisions use integer arithmetic.
         """
         t = self._t
         width = self._width
+        window = self._window
         trace_len = self._trace_len
         pending = self._pending
-        if t >= now:
-            # Re-entrant call at the current time (e.g. the post-mutation
-            # sync in ``_on_data``): nothing to integrate, but a just-
-            # retired load may have completed the pass.
-            if self._trace_pos >= trace_len:
-                self._maybe_complete_pass()
-            if not plan:
-                return
-            retired = self._retired
-            dispatched = self._dispatched
-        else:
-            window = self._window
+        retired = self._retired
+        dispatched = self._dispatched
+        if t < now:
             mshrs = self._mshrs
             entries = self._entries
-            # The pending deque and the end index are stable object
-            # references / values across loop iterations except through the
-            # calls re-synced below, so they live in locals too.  The
-            # progress pointers also stay in locals, written back to the
-            # instance only around calls that observe them (``_issue``,
-            # ``_complete_pass``) and at exit.
+            cum_index = self._cum_index
+            base = self._base_instructions
             end_index = self._trace_end_index
             probe = self._probe
-            retired = self._retired
-            dispatched = self._dispatched
             trace_pos = self._trace_pos
             mshr_in_use = self.mshr_in_use
             next_mem = self._next_mem_index
+            # Commit stops just below the oldest incomplete load, or at the
+            # end of the pass; changes only on dispatch into an empty
+            # ``_pending`` and at pass completion.
+            r_limit = self._r_limit
+            stall = self.stall_cycles
             while t < now:
-                r_limit = pending[0].index - 1 if pending else end_index
                 if trace_pos < trace_len:
                     next_entry = entries[trace_pos]
                     if next_entry.is_write or mshr_in_use < mshrs:
@@ -342,7 +388,7 @@ class Core:
 
                 # Stall accounting: commit blocked by an incomplete load.
                 if pending and retired0 >= r_limit:
-                    self.stall_cycles += dt
+                    stall += dt
                     if probe is not None and not self._stalled:
                         self._stalled = True
                         probe.emit(t, "core.stall", thread=self.thread_id)
@@ -357,14 +403,58 @@ class Core:
                     and not dispatch_blocked
                     and dispatched >= next_mem
                 ):
-                    self._t = t
-                    self._retired = retired
-                    self._dispatched = dispatched
-                    self._issue(next_entry)
-                    retired = self._retired  # _issue clamps behind a load
-                    trace_pos = self._trace_pos
-                    mshr_in_use = self.mshr_in_use
-                    next_mem = self._next_mem_index
+                    # -- dispatch the next memory instruction ----------------
+                    # Independent accesses send their request immediately;
+                    # one with an incomplete ``depends_on`` parent is parked
+                    # until the parent's data returns (its window slot and
+                    # MSHR are held meanwhile, and it blocks commit like any
+                    # other outstanding load).
+                    first_gpos = self._pass_count * trace_len
+                    gpos = first_gpos + trace_pos
+                    trace_pos += 1
+                    if next_entry.is_write:
+                        issued = None
+                        self.stores_issued += 1
+                    else:
+                        issued = _PendingLoad(next_mem, gpos)
+                        if not pending:
+                            r_limit = next_mem - 1
+                        pending.append(issued)
+                        self._incomplete_gpos.add(gpos)
+                        # The load cannot retire before its data returns;
+                        # commit stops just below it even if the segment
+                        # arithmetic reached further.
+                        if retired > next_mem - 1:
+                            retired = next_mem - 1
+                        mshr_in_use += 1
+                        self.loads_issued += 1
+                    next_mem = (
+                        base + cum_index[trace_pos]
+                        if trace_pos < trace_len
+                        else None
+                    )
+                    parent = next_entry.depends_on
+                    if (
+                        parent is not None
+                        and first_gpos + parent in self._incomplete_gpos
+                    ):
+                        self._dep_waiters.setdefault(
+                            first_gpos + parent, []
+                        ).append((next_entry.address, next_entry.is_write, issued))
+                    elif issued is None:
+                        self.memory.access(
+                            self.thread_id, next_entry.address, True, None
+                        )
+                    elif self._fast_access is not None:
+                        self._fast_access(
+                            self.thread_id,
+                            next_entry.address,
+                            False,
+                            self._on_data_cb,
+                            issued,
+                        )
+                    else:
+                        self._send(next_entry.address, False, issued)
 
                 if (
                     trace_pos >= trace_len
@@ -374,23 +464,48 @@ class Core:
                     self._t = t
                     self._retired = retired
                     self._dispatched = dispatched
+                    self._trace_pos = trace_pos
+                    self.stall_cycles = stall
                     self._complete_pass()
-                    end_index = self._trace_end_index
+                    if self.finished and not self.repeat:
+                        break
+                    base = self._base_instructions
+                    end_index = r_limit = self._trace_end_index
                     trace_pos = self._trace_pos
                     next_mem = self._next_mem_index
-                if self.finished and not self.repeat:
-                    break
             self._t = t
             self._retired = retired
             self._dispatched = dispatched
-            if trace_pos >= trace_len:
-                self._maybe_complete_pass()
-            if not plan:
-                return
-        # -- wake planning (``_reschedule`` fused in) ----------------------
+            self._trace_pos = trace_pos
+            self._next_mem_index = next_mem
+            self._r_limit = r_limit
+            self.mshr_in_use = mshr_in_use
+            self.stall_cycles = stall
+        if load is not None:
+            load.done = True
+            self.mshr_in_use -= 1
+            self._incomplete_gpos.discard(load.gpos)
+            if pending[0].done:
+                pending.popleft()
+                while pending and pending[0].done:
+                    pending.popleft()
+                self._r_limit = (
+                    pending[0].index - 1 if pending else self._trace_end_index
+                )
+            # Release accesses that were waiting on this load's data (the
+            # truthiness guard keeps dependency-free traces off the dict).
+            waiters = self._dep_waiters
+            if waiters:
+                for address, is_write, waiter in waiters.pop(load.gpos, ()):
+                    self._send(address, is_write, waiter)
+        if self._trace_pos >= trace_len:
+            self._maybe_complete_pass()
+        if not plan:
+            return
+        # -- wake planning -------------------------------------------------
         if self.finished and not self.repeat:
             return
-        r_limit = pending[0].index - 1 if pending else self._trace_end_index
+        r_limit = self._r_limit
         trace_pos = self._trace_pos
         if trace_pos < trace_len:
             next_entry = self._entries[trace_pos]
@@ -398,7 +513,6 @@ class Core:
                 return  # blocked on MSHRs; a completion will wake us
             target = self._next_mem_index
             # Dispatch must reach `target`; it is limited by the window.
-            window = self._window
             if target > r_limit + window:
                 return  # blocked on the window behind a pending load
             needed = target - dispatched
@@ -434,60 +548,6 @@ class Core:
             and self._retired >= self._trace_end_index
         ):
             self._complete_pass()
-
-    def _issue(self, entry) -> None:
-        """Dispatch the next memory instruction.
-
-        Independent accesses send their memory request immediately; an
-        access with an incomplete ``depends_on`` parent is parked until the
-        parent's data returns (its window slot and MSHR are held meanwhile,
-        and it blocks commit like any other outstanding load).
-        """
-        index = self._next_mem_index
-        trace_len = self._trace_len
-        gpos = self._pass_count * trace_len + self._trace_pos
-        pos = self._trace_pos + 1
-        self._trace_pos = pos
-        # ``_mem_index`` inlined (dispatch is a per-read hot path).
-        self._next_mem_index = (
-            self._base_instructions + self._cum_index[pos]
-            if pos < trace_len
-            else None
-        )
-
-        load: _PendingLoad | None = None
-        if not entry.is_write:
-            load = _PendingLoad(index, gpos)
-            self._pending.append(load)
-            self._incomplete_gpos.add(gpos)
-            # The load cannot retire before its data returns; commit stops
-            # just below it even if the segment arithmetic reached further.
-            if self._retired > index - 1:
-                self._retired = index - 1
-            self.mshr_in_use += 1
-            self.loads_issued += 1
-        else:
-            self.stores_issued += 1
-
-        if entry.depends_on is not None:
-            parent_gpos = self._pass_count * trace_len + entry.depends_on
-            if parent_gpos in self._incomplete_gpos:
-                self._dep_waiters.setdefault(parent_gpos, []).append(
-                    (entry.address, entry.is_write, load)
-                )
-                return
-        # ``_send`` inlined (it stays a method for the dep-waiter path).
-        if load is None:
-            self.memory.access(self.thread_id, entry.address, True, None)
-            return
-        fast = self._fast_access
-        if fast is not None:
-            fast(self.thread_id, entry.address, False, self._on_data_cb, load)
-            return
-        self.memory.access(
-            self.thread_id, entry.address, False,
-            lambda load=load: self._on_data(load),
-        )
 
     def _send(self, address: int, is_write: bool, load: _PendingLoad | None) -> None:
         """Issue the actual memory request for a dispatched access."""
@@ -525,18 +585,4 @@ class Core:
             self._pass_count += 1
             self._trace_pos = 0
             self._next_mem_index = self._mem_index(0)
-
-    # -- wake-up planning -------------------------------------------------------------
-    def _reschedule(self) -> None:
-        """Arm a wake-up at the earliest future time the core makes
-        progress without external events (the next request dispatch or
-        final retirement); stay silent when only a data return can
-        unblock it.
-
-        The planning arithmetic lives at the tail of :meth:`_advance`
-        (``plan=True``), which every wake and data return calls directly;
-        this wrapper keeps the entry point for external callers.  Advancing
-        to ``queue.now`` first is a no-op when the caller is already
-        synced.
-        """
-        self._advance(self.queue.now, True)
+            self._r_limit = self._trace_end_index

@@ -106,6 +106,7 @@ class FastMemoryController(MemoryController):
         self._kid_reads: list[FastBankSched] = []
         self._kid_writes: list[WriteFifo] = []
         self._kid_key: list[tuple[int, int]] = []
+        self._kid_channel: list[int] = []
         self._kid_bank = []
         for c in range(config.num_channels):
             for b in range(num_banks):
@@ -117,6 +118,7 @@ class FastMemoryController(MemoryController):
                 self._kid_reads.append(index)
                 self._kid_writes.append(fifo)
                 self._kid_key.append(key)
+                self._kid_channel.append(c)
                 self._kid_bank.append(self.channels[c].banks[b])
         # Earliest pending wake per bank (None = no wake armed): the same
         # dedup protocol as the python path's ``_bank_wake`` dict, as a
@@ -126,7 +128,8 @@ class FastMemoryController(MemoryController):
         )
         # With telemetry attached, the periodic sampler reads the
         # ``DataBus`` objects mid-run, so mirror bus counters per issue;
-        # otherwise the arrays are the only state until :meth:`sync_state`.
+        # otherwise the arrays are the only state until :meth:`sync_state`
+        # (which also derives the bus counters, see :meth:`_bus_counts`).
         self._mirror_bus = telemetry is not None
         # Scheduler hooks resolved once: a policy that does not override a
         # base no-op hook never gets called for it (bit-identical — the
@@ -239,9 +242,7 @@ class FastMemoryController(MemoryController):
         self._rowconf_arr = fast.row_conflicts
         self._acc_arr = fast.accesses
         self._busfree_arr = fast.bus_free
-        self._busbusy_arr = fast.bus_busy
         self._buswait_arr = fast.bus_wait
-        self._bustrans_arr = fast.bus_transfers
         timing = config.timing
         self._tRCD = timing.tRCD
         self._tCL = timing.tCL
@@ -623,7 +624,6 @@ class FastMemoryController(MemoryController):
             )
             queue._seq += 1
             return
-        key = self._kid_key[kid]
         index = self._kid_reads[kid]
         if self._write_occupancy:
             writes = self._kid_writes[kid]
@@ -642,7 +642,7 @@ class FastMemoryController(MemoryController):
         # the slot exactly as the reference does.  Guarded by the
         # emptiness check above: an empty bank returns without re-arming
         # on both backends.
-        channel_id = key[0]
+        channel_id = self._kid_channel[kid]
         lastcmd = self._lastcmd_arr
         slot = lastcmd[channel_id] + self._tCK
         if slot > now:
@@ -692,8 +692,8 @@ class FastMemoryController(MemoryController):
                                 probe.emit(
                                     now,
                                     "sched.rqindex_rebuild",
-                                    ch=key[0],
-                                    bank=key[1],
+                                    ch=channel_id,
+                                    bank=self._kid_key[kid][1],
                                     epoch=sched.index_epoch,
                                     size=index.size,
                                 )
@@ -730,13 +730,18 @@ class FastMemoryController(MemoryController):
                                     request = best[1]
                     else:
                         request = sched.select_indexed(
-                            index, key, now, self._openrow_arr[kid]
+                            index,
+                            self._kid_key[kid],
+                            now,
+                            self._openrow_arr[kid],
                         )
                     if self._verify_index:
-                        self._verify_pick(index, key, now, request)
+                        self._verify_pick(
+                            index, self._kid_key[kid], now, request
+                        )
                 else:
                     request = self.scheduler.select(
-                        list(index.requests()), key, now
+                        list(index.requests()), self._kid_key[kid], now
                     )
             elif has_writes:
                 request = writes.peek()
@@ -747,7 +752,7 @@ class FastMemoryController(MemoryController):
         # -- issue (reference ``_issue`` fused) ---------------------------
         guard = self.guard
         if guard is not None:
-            guard.on_pre_issue(request, key, now)
+            guard.on_pre_issue(request, self._kid_key[kid], now)
         if request.is_read:
             # ``FastBankSched.remove`` inlined: exact swap-pop of the row
             # bucket and its parallel key array; a cached minimum is
@@ -858,9 +863,7 @@ class FastMemoryController(MemoryController):
         tbus = self._tBUS
         completion = data_start + tbus
         busfree_arr[channel_id] = completion
-        self._busbusy_arr[channel_id] += tbus
         self._buswait_arr[channel_id] += data_start - cas_done
-        self._bustrans_arr[channel_id] += 1
         openrow_arr[kid] = row
         self._busy_arr[kid] = completion
         if not request.is_read:
@@ -921,12 +924,11 @@ class FastMemoryController(MemoryController):
                 bank.busy_until = completion
                 bus = self.channels[channel_id].bus
                 bus.free_at = fast.bus_free[channel_id]
-                bus.busy_cycles = fast.bus_busy[channel_id]
-                bus.transfers = fast.bus_transfers[channel_id]
+                bus.transfers, bus.busy_cycles = self._bus_counts(channel_id)
                 bus.wait_cycles = fast.bus_wait[channel_id]
             if guard is not None:
                 guard.on_post_issue(
-                    request, request.service_outcome, key, now
+                    request, request.service_outcome, self._kid_key[kid], now
                 )
             probe = self._p_req
             if probe is not None:
@@ -1093,15 +1095,33 @@ class FastMemoryController(MemoryController):
             self._phantom_seq = -2
 
     # ----------------------------------------------------------- interop
+    def _bus_counts(self, channel_id: int) -> tuple[int, int]:
+        """``(transfers, busy_cycles)`` of one channel's data bus.
+
+        The issue path does not keep these per-channel counters: every
+        access holds the bus for exactly ``tBUS``, so they follow from the
+        per-bank access counts.
+        """
+        first = channel_id * self._num_banks
+        transfers = sum(self._acc_arr[first : first + self._num_banks])
+        return transfers, transfers * self._tBUS
+
     def sync_state(self) -> None:
         """Flush array state back into the object model.
 
         Called at end of run (and before diagnostics) so reporting, the
         stall report and the verify harness read ``Bank`` / ``DataBus`` /
-        ``Channel`` objects identical to a python-backend run.  Also
-        rebuilds ``_bank_wake`` so queue diagnostics show pending wakes.
+        ``Channel`` objects identical to a python-backend run.  The bus
+        ``transfers`` / ``busy_cycles`` counters the issue path leaves
+        alone are derived here (:meth:`_bus_counts`).  Also rebuilds
+        ``_bank_wake`` so queue diagnostics show pending wakes.
         """
-        self.fast.sync_to(self.channels)
+        fast = self.fast
+        for channel_id in range(len(self.channels)):
+            transfers, busy = self._bus_counts(channel_id)
+            fast.bus_transfers[channel_id] = transfers
+            fast.bus_busy[channel_id] = busy
+        fast.sync_to(self.channels)
         self._bank_wake = {
             self._kid_key[kid]: when
             for kid, when in enumerate(self._kid_wake)

@@ -176,6 +176,10 @@ class System:
         # Cached-minimum rebuilds in the fast arbitration kernel (0 on
         # the python backend, which has no such cache).
         self.min_rebuilds = 0
+        # Data returns the cores took on the deferred path in the last
+        # ``run()`` (see ``Core.catch_up``): a deterministic work counter,
+        # equal on both backends, kept off ``WorkloadResult``.
+        self.deferred_returns = 0
         self.cores: list[Core] = []
         self.hierarchies: list[CacheHierarchy] = []
         core_probe = tracer.probe("core") if tracer is not None else None
@@ -266,13 +270,13 @@ class System:
             gc.disable()
         try:
             while self._finished < num_cores:
-                if not heap:
+                try:
+                    entry = pop(heap)
+                except IndexError:
                     raise SimulationError(
                         "event queue drained before all cores finished"
-                    )
-                entry = pop(heap)
-                when = entry[0]
-                queue.now = when
+                    ) from None
+                queue.now = entry[0]
                 queue.now_seq = entry[2]
                 if len(entry) == 4:
                     entry[3]()
@@ -289,8 +293,10 @@ class System:
                         next_check = events + _WATCHDOG_CHECK_EVENTS
                         if PROGRESS_HOOK is not None:
                             PROGRESS_HOOK(events)
+                        when = queue.now
                         retired = 0
                         for core in self.cores:
+                            core.catch_up()
                             retired += core.instructions_retired
                         if retired != last_retired:
                             last_retired = retired
@@ -312,6 +318,9 @@ class System:
         finally:
             if gc_was_enabled:
                 gc.enable()
+        for core in self.cores:
+            core.catch_up()
+        self.deferred_returns = sum(core.deferred_returns for core in self.cores)
         self.events_processed = events
         finalize_elision = getattr(self.controller, "finalize_elision", None)
         if finalize_elision is not None:

@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.campaign.queue import LeaseQueue
 from repro.campaign.report import export_text
 from repro.campaign.spec import CampaignSpec, Variant
 from repro.campaign.store import ResultStore
@@ -99,6 +100,44 @@ def test_leasekill_chaos_is_retried_in_process(tmp_path, golden):
         assert stats.failed == 0
         assert stats.retried == len(spec.expand())  # one fault per job
         assert export_text(spec, store, fmt="csv") == golden
+
+
+def test_expiry_between_reclaim_and_claim_counts_as_reclaimed(
+    tmp_path, monkeypatch
+):
+    """A peer lease that expires after the rescuer's ``reclaim_expired``
+    pass but before its ``claim_next`` is taken over inside the claim;
+    the rescuer must still count it.  An injected clock crosses the
+    deadline exactly between the two calls."""
+    spec = _spec(
+        variants=(Variant("FCFS", "FCFS"),), mix_count=1, instructions=5_000
+    )
+    (key,) = [job.key for job in spec.expand()]
+    now = [100.0]
+
+    def clock() -> float:
+        return now[0]
+
+    with ResultStore(tmp_path / "gap.sqlite") as store:
+        store.register(spec, spec.expand())
+        dead = LeaseQueue(
+            store, spec.fingerprint(), worker_id="dead", lease_s=10.0, clock=clock
+        )
+        assert dead.claim_next([key]) is not None  # live until t=110
+
+        original = LeaseQueue.reclaim_expired
+
+        def reclaim_then_expire(self):
+            keys = original(self)
+            now[0] = 200.0  # the dead worker's lease lapses right here
+            return keys
+
+        monkeypatch.setattr(LeaseQueue, "reclaim_expired", reclaim_then_expire)
+        stats = drain_campaign(
+            spec, store, worker_id="rescuer", lease_s=10.0, clock=clock,
+            cache_dir=None,
+        )
+    assert (stats.claimed, stats.reclaimed, stats.completed) == (1, 1, 1)
 
 
 def test_frozen_worker_is_fenced_and_peer_wins(tmp_path):
