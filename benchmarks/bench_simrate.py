@@ -20,14 +20,16 @@ to the baseline JSON.
 The committed throughput baseline lives in ``BENCH_simrate.json`` at the
 repository root: per-scheduler events/sec and simulated cycles/sec for all
 five policies, per backend, plus the fast-backend speedup gate
-(``fast_gate``).  Two maintenance modes operate on it::
+(``fast_gate``) and the same-run fast/python ratio floors
+(``ratio_gate``).  Two maintenance modes operate on it::
 
     # refresh the baseline (run on the reference machine after perf work)
     PYTHONPATH=src python benchmarks/bench_simrate.py --update-baseline
 
     # regression gate: fail if any scheduler's events/sec drops more than
-    # --tolerance (default 20%) below the committed baseline, or the fast
-    # backend falls under fast_gate (min_ratio x the frozen reference)
+    # --tolerance (default 20%) below the committed baseline, the fast
+    # backend falls under fast_gate (min_ratio x the frozen reference),
+    # or the fast/python ratio measured in this run falls under ratio_gate
     PYTHONPATH=src python benchmarks/bench_simrate.py --check
 
 Baselines are machine-specific; the check is meant to catch large
@@ -36,7 +38,11 @@ algorithmic regressions, hence the generous default tolerance.  The
 python-backend throughput of the commit that introduced the fast backend,
 a ratchet that ``--update-baseline`` never rewrites — the fast backend
 must stay ``min_ratio`` times faster than the simulator it replaced, not
-merely faster than last week's build.
+merely faster than last week's build.  The ``ratio_gate`` floors test the
+code rather than the machine: both backends run alternately in the one
+process (best of ``--repeats``, at least 3), so a slow host slows both
+sides of the ratio alike.  ``--backend`` restricts the absolute checks
+only; the ratio gate always measures both backends.
 
 Also runs under pytest (``pytest benchmarks/bench_simrate.py``) as a
 smoke check that throughput is measurable and sane.
@@ -91,6 +97,25 @@ FAST_GATE = {
         "NFQ": 2.3,
         "STFM": 2.4,
         "PAR-BS": 2.9,
+    },
+}
+
+
+# Same-run fast/python ratio gate.  Unlike the absolute floors above,
+# both backends are measured in this one process, alternating run by
+# run, so a slow or contended machine slows both sides alike and the
+# ratio tests the code rather than the host.  Floors sit ~20% under the
+# median of three best-of-3 ratios measured on a 2-vCPU host at the
+# commit before the gate (FR-FCFS 1.80x, FCFS 1.88x, NFQ 1.57x, STFM
+# 1.66x, PAR-BS 1.59x); raise them as the fast kernel pulls ahead, never
+# lower them to make a run pass.
+RATIO_GATE = {
+    "min_ratio": {
+        "FR-FCFS": 1.44,
+        "FCFS": 1.5,
+        "NFQ": 1.26,
+        "STFM": 1.33,
+        "PAR-BS": 1.27,
     },
 }
 
@@ -180,6 +205,29 @@ def run_all(
     return results
 
 
+def measure_ratios(
+    instructions: int = 100_000,
+    seed: int = 0,
+    repeats: int = 3,
+) -> dict[str, dict]:
+    """Best-of-``repeats`` events/sec of both backends per policy, measured
+    alternately (python, fast, python, fast, ...) in this process, with
+    the fast/python ratio of the two bests."""
+    results: dict[str, dict] = {}
+    for scheduler in SCHEDULERS:
+        best = {"python": 0.0, "fast": 0.0}
+        for _ in range(repeats):
+            for backend in best:
+                rate = measure(scheduler, instructions, seed, backend)[
+                    "events_per_sec"
+                ]
+                if rate > best[backend]:
+                    best[backend] = rate
+        best["ratio"] = best["fast"] / best["python"]
+        results[scheduler] = best
+    return results
+
+
 def update_baseline(
     path: Path = BASELINE_PATH,
     instructions: int = 100_000,
@@ -187,8 +235,9 @@ def update_baseline(
     repeats: int = 3,
 ) -> dict:
     """Measure every scheduler on both backends and (re)write the committed
-    baseline file.  ``fast_gate`` is re-emitted verbatim from
-    :data:`FAST_GATE` — the ratchet is code, not measurement.
+    baseline file.  ``fast_gate`` and ``ratio_gate`` are re-emitted
+    verbatim from :data:`FAST_GATE` and :data:`RATIO_GATE` — the gates are
+    code, not measurement.
 
     Every refresh also appends one entry to the baseline's ``history``
     array, so the committed file carries the throughput trend across
@@ -216,6 +265,7 @@ def update_baseline(
         "repeats": repeats,
         "backends": {},
         "fast_gate": FAST_GATE,
+        "ratio_gate": RATIO_GATE,
     }
     history_entry: dict = {"run": next_run}
     for backend in ("python", "fast"):
@@ -252,7 +302,8 @@ def check_baseline(
     more than ``tolerance`` below its backend's baseline, or — when the
     fast backend is checked — if FR-FCFS/PAR-BS fast throughput falls
     under ``fast_gate`` (``min_ratio`` times the frozen pre-fast-backend
-    reference).  Simulated event and cycle counts are deterministic, so a
+    reference), or if any policy's same-run fast/python ratio falls under
+    its ``ratio_gate`` floor.  Simulated event and cycle counts are deterministic, so a
     drift there is reported too — it means behaviour changed and the
     baseline needs a refresh, not that the machine is slow.
     """
@@ -312,6 +363,25 @@ def check_baseline(
                     f"fast_gate/{name}: {got:.0f} events/sec is under the "
                     f"{ratio:g}x ratchet ({floor:.0f}, frozen python "
                     f"reference {reference:.0f})"
+                )
+    ratio_gate = baseline.get("ratio_gate")
+    if ratio_gate:
+        floors = ratio_gate["min_ratio"]
+        ratios = measure_ratios(
+            baseline["instructions_per_thread"], baseline["seed"], max(repeats, 3)
+        )
+        for name, floor in floors.items():
+            got = ratios[name]
+            status = "ok" if got["ratio"] >= floor else "RATIO FAIL"
+            print(
+                f"ratio  {name:8s} {got['ratio']:>10.2f}x fast/python "
+                f"(fast {got['fast']:.0f}, python {got['python']:.0f} "
+                f"events/sec; needs {floor:g}x)  {status}"
+            )
+            if got["ratio"] < floor:
+                failures.append(
+                    f"ratio_gate/{name}: fast/python {got['ratio']:.2f}x is "
+                    f"under the same-run floor {floor:g}x"
                 )
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
@@ -493,7 +563,8 @@ def main(argv: list[str] | None = None) -> int:
         choices=("python", "fast"),
         default=None,
         help="simulation backend to measure (default: python; with --check, "
-        "restricts the gate to one backend instead of checking both)",
+        "restricts the absolute gates to one backend instead of checking "
+        "both; the ratio gate always runs both)",
     )
     parser.add_argument(
         "--profile",
@@ -511,8 +582,9 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument(
         "--check",
         action="store_true",
-        help="fail if events/sec regresses past --tolerance vs the baseline "
-        "or the fast backend falls under fast_gate",
+        help="fail if events/sec regresses past --tolerance vs the baseline, "
+        "the fast backend falls under fast_gate, or the same-run "
+        "fast/python ratio falls under ratio_gate",
     )
     args = parser.parse_args(argv)
     if args.profile and (args.update_baseline or args.check):

@@ -193,7 +193,6 @@ class MemoryController:
         self.total_reads = 0
         self.total_writes = 0
         self.read_occupancy = 0
-        self.peak_read_occupancy = 0
 
         if guard is not None:
             # Before scheduler.attach: the scheduler/batcher attach path
@@ -262,8 +261,10 @@ class MemoryController:
         return tuple(index.requests()) if index is not None else ()
 
     def buffered_read_threads(self, key: tuple[int, int]) -> Mapping[int, int]:
-        """Threads with buffered reads on one (channel, bank), with counts
-        (an incrementally maintained view; do not mutate)."""
+        """Threads with buffered reads on one (channel, bank), with counts.
+
+        Maintained incrementally by the python backend's index and derived
+        from the row buckets by the fast backend's; do not mutate it."""
         index = self._reads.get(key)
         return index.thread_counts if index is not None else {}
 
@@ -297,8 +298,6 @@ class MemoryController:
             index.add(request)
             self._reads_per_thread[request.thread_id] += 1
             self.read_occupancy += 1
-            if self.read_occupancy > self.peak_read_occupancy:
-                self.peak_read_occupancy = self.read_occupancy
             self.total_reads += 1
             self.scheduler.on_enqueue(request, now)
             # Index after the scheduler hooks ran: they stamp the priority

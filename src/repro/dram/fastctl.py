@@ -19,11 +19,12 @@ cost of each event:
 * bank/bus/command-slot timing state lives in the flat arrays of
   :class:`~repro.dram.fastbank.FastDramState` instead of object attribute
   chains;
-* arbitration runs on the packed-key kernel
-  (:class:`~repro.dram.fastsched.FastBankSched`): per-bank row-bucketed
-  candidate arrays with integer sort keys and cached minima instead of
-  the heap-backed :class:`~repro.dram.rqindex.BankReadIndex` — same
-  membership contract, same epoch protocol, no heap churn;
+* arbitration runs on the packed-key index
+  (:class:`~repro.dram.fastsched.FastBankSched`): per-bank row buckets
+  with integer sort keys stamped on the requests and cached minimum
+  requests instead of the heap-backed
+  :class:`~repro.dram.rqindex.BankReadIndex` — same membership contract,
+  same epoch protocol, no heap churn;
 * wakes that the python path provably wastes are *elided*: an enqueue to
   a busy bank arms the wake directly at the bank-free time instead of
   pushing an immediate wake whose only effect is to reschedule itself
@@ -51,7 +52,7 @@ from typing import TYPE_CHECKING, Callable
 from .bank import AccessOutcome
 from .controller import MemoryController
 from .fastbank import FastDramState
-from .fastsched import FastBankSched
+from .fastsched import FastBankSched, min_key
 from .request import MemoryRequest, RequestType, _request_ids
 from .rqindex import WriteFifo
 
@@ -323,7 +324,7 @@ class FastMemoryController(MemoryController):
             )
         if request.is_read:
             index = self._kid_reads[kid]
-            # ``BankReadIndex.add`` inlined (runs once per read).
+            # ``FastBankSched.add`` inlined (runs once per read).
             rows = index.rows
             row = request.row
             bucket = rows.get(row)
@@ -331,39 +332,28 @@ class FastMemoryController(MemoryController):
                 bucket = rows[row] = []
             request.buf_pos = len(bucket)
             bucket.append(request)
-            tid = request.thread_id
-            counts = index.thread_counts
-            counts[tid] = counts.get(tid, 0) + 1
             index.size += 1
-            self._reads_per_thread[tid] += 1
-            occupancy = self.read_occupancy + 1
-            self.read_occupancy = occupancy
-            if occupancy > self.peak_read_occupancy:
-                self.peak_read_occupancy = occupancy
+            self._reads_per_thread[request.thread_id] += 1
+            self.read_occupancy += 1
             self.total_reads += 1
             hook = self._hook_enqueue
             if hook is not None:
                 hook(request, now)
-            if (
-                self._use_index
-                and index.heap_epoch == self.scheduler.index_epoch
-            ):
-                # ``FastBankSched.push`` inlined: append the packed key
-                # and bubble the cached minima (no heap churn).
-                k = self._index_keyfn(request)
-                keys = index.keys
-                kbucket = keys.get(row)
-                if kbucket is None:
-                    kbucket = keys[row] = []
-                kbucket.append(k)
-                row_best = index.row_best
-                rb = row_best.get(row)
-                if rb is None or k < rb[0]:
-                    entry = (k, request)
-                    row_best[row] = entry
-                    best = index.best
-                    if best is None or k < best[0]:
-                        index.best = entry
+            if self._use_index:
+                # ``FastBankSched.push`` inlined: stamp the packed key and
+                # bubble the cached minima (no heap churn); a stale epoch
+                # stamps nothing and drops the row's cached minimum.
+                if index.heap_epoch == self.scheduler.index_epoch:
+                    k = request.sort_key = self._index_keyfn(request)
+                    row_best = index.row_best
+                    rb = row_best.get(row)
+                    if rb is None or k < rb.sort_key:
+                        row_best[row] = request
+                        best = index.best
+                        if best is None or k < best.sort_key:
+                            index.best = request
+                else:
+                    index.row_best.pop(row, None)
         else:
             self._kid_writes[kid].push(request)
             self._write_occupancy += 1
@@ -534,34 +524,26 @@ class FastMemoryController(MemoryController):
             bucket = rows[row] = []
         request.buf_pos = len(bucket)
         bucket.append(request)
-        counts = index.thread_counts
-        counts[thread_id] = counts.get(thread_id, 0) + 1
         index.size += 1
         self._reads_per_thread[thread_id] += 1
-        occupancy = self.read_occupancy + 1
-        self.read_occupancy = occupancy
-        if occupancy > self.peak_read_occupancy:
-            self.peak_read_occupancy = occupancy
+        self.read_occupancy += 1
         self.total_reads += 1
         hook = self._hook_enqueue
         if hook is not None:
             hook(request, now)
-        if self._use_index and index.heap_epoch == self.scheduler.index_epoch:
+        if self._use_index:
             # ``FastBankSched.push`` inlined (see ``enqueue``).
-            k = self._index_keyfn(request)
-            keys = index.keys
-            kbucket = keys.get(row)
-            if kbucket is None:
-                kbucket = keys[row] = []
-            kbucket.append(k)
-            row_best = index.row_best
-            rb = row_best.get(row)
-            if rb is None or k < rb[0]:
-                entry = (k, request)
-                row_best[row] = entry
-                best = index.best
-                if best is None or k < best[0]:
-                    index.best = entry
+            if index.heap_epoch == self.scheduler.index_epoch:
+                k = request.sort_key = self._index_keyfn(request)
+                row_best = index.row_best
+                rb = row_best.get(row)
+                if rb is None or k < rb.sort_key:
+                    row_best[row] = request
+                    best = index.best
+                    if best is None or k < best.sort_key:
+                        index.best = request
+            else:
+                index.row_best.pop(row, None)
         guard = self.guard
         if guard is not None:
             guard.on_enqueue(request, now)
@@ -670,8 +652,8 @@ class FastMemoryController(MemoryController):
                 # so the skipped consultation has no observable effect;
                 # scheduler epoch state re-derives at the next contended
                 # arbitration from the same counters the reference backend
-                # sees there, and a stale key array is dropped exactly on
-                # removal (see the inlined remove below).
+                # sees there, and the issue below empties the index
+                # outright, stale keys and all.
                 for bucket in index.rows.values():
                     request = bucket[0]
                     break
@@ -697,37 +679,34 @@ class FastMemoryController(MemoryController):
                                     epoch=sched.index_epoch,
                                     size=index.size,
                                 )
-                        best = index.best
+                        request = index.best
                         row = self._openrow_arr[kid]
-                        if row is None or not self._uses_row:
-                            request = best[1]
-                        else:
-                            hit = index.row_best.get(row)
-                            if hit is None or hit is best:
-                                request = best[1]
-                            elif self._packed_keys:
+                        hit = (
+                            index.row_best.get(row)
+                            if row is not None and self._uses_row
+                            else None
+                        )
+                        if hit is not None and hit is not request:
+                            if self._packed_keys:
                                 # Read live, never cached: STFM flips its
                                 # prefix when it toggles between fair mode
                                 # (shift above the age bits) and FR-FCFS
                                 # mode (None: a hit always wins).
                                 shift = sched.pack_prefix_shift
-                                if shift is None or (hit[0] >> shift) == (
-                                    best[0] >> shift
+                                if shift is None or (hit.sort_key >> shift) == (
+                                    request.sort_key >> shift
                                 ):
-                                    request = hit[1]
-                                else:
-                                    request = best[1]
+                                    request = hit
                             else:
                                 # Tuple-key fallback (no pack_key): same
                                 # prefix rule as the reference index.
                                 prefix = sched.index_prefix_len
                                 if (
                                     prefix == 0
-                                    or hit[0][:prefix] == best[0][:prefix]
+                                    or hit.sort_key[:prefix]
+                                    == request.sort_key[:prefix]
                                 ):
-                                    request = hit[1]
-                                else:
-                                    request = best[1]
+                                    request = hit
                     else:
                         request = sched.select_indexed(
                             index,
@@ -754,58 +733,36 @@ class FastMemoryController(MemoryController):
         if guard is not None:
             guard.on_pre_issue(request, self._kid_key[kid], now)
         if request.is_read:
-            # ``FastBankSched.remove`` inlined: exact swap-pop of the row
-            # bucket and its parallel key array; a cached minimum is
-            # rebuilt (one C-level ``min`` over ints) only when the issued
-            # request held it.
-            row = request.row
-            rows = index.rows
-            bucket = rows[row]
-            pos = request.buf_pos
-            last = bucket.pop()
-            if last is not request:
-                bucket[pos] = last
-                last.buf_pos = pos
+            if index.size == 1:
+                # The bank's only buffered read: empty the index outright.
+                index.rows.clear()
+                index.row_best.clear()
+                index.best = None
+                index.size = 0
+            else:
+                # ``FastBankSched.remove`` inlined: exact swap-pop of the
+                # row bucket; a cached minimum is rebuilt only when the
+                # issued request held it.
+                row = request.row
+                rows = index.rows
+                bucket = rows[row]
+                pos = request.buf_pos
+                last = bucket.pop()
+                if last is not request:
+                    bucket[pos] = last
+                    last.buf_pos = pos
+                index.size -= 1
+                row_best = index.row_best
+                if not bucket:
+                    del rows[row]
+                    row_best.pop(row, None)
+                elif row_best.get(row) is request:
+                    index.min_rebuilds += 1
+                    row_best[row] = min_key(bucket)
+                if index.best is request:
+                    index.best = min_key(row_best.values())
             request.buf_pos = -1
-            counts = index.thread_counts
-            tid = request.thread_id
-            remaining = counts[tid] - 1
-            if remaining:
-                counts[tid] = remaining
-            else:
-                del counts[tid]
-            index.size -= 1
-            keys = index.keys
-            kbucket = keys.get(row)
-            if kbucket is not None:
-                if len(kbucket) == len(bucket) + 1:
-                    klast = kbucket.pop()
-                    if last is not request:
-                        kbucket[pos] = klast
-                else:
-                    # Desynced since an epoch bump (pushes were skipped);
-                    # the pending ensure() rebuilds keys and minima.
-                    del keys[row]
-                    index.row_best.pop(row, None)
-                    kbucket = None
-            row_best = index.row_best
-            if not bucket:
-                del rows[row]
-                keys.pop(row, None)
-                row_best.pop(row, None)
-            else:
-                rb = row_best.get(row)
-                if rb is not None and rb[1] is request:
-                    if kbucket:
-                        index.min_rebuilds += 1
-                        m = min(kbucket)
-                        row_best[row] = (m, bucket[kbucket.index(m)])
-                    else:
-                        row_best.pop(row, None)
-            best = index.best
-            if best is not None and best[1] is request:
-                index.best = min(row_best.values()) if row_best else None
-            self._reads_per_thread[tid] -= 1
+            self._reads_per_thread[request.thread_id] -= 1
             self.read_occupancy -= 1
         else:
             self._kid_writes[kid].remove(request)

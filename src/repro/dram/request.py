@@ -68,6 +68,12 @@ class MemoryRequest:
     # controller hot path and ``type`` never changes after creation.
     is_read: bool = field(init=False, compare=False)
 
+    # Packed arbitration key, stamped by the fast backend's read index
+    # (:class:`~repro.dram.fastsched.FastBankSched`) when it indexes the
+    # request and restamped when the scheduler's epoch moves on.  No
+    # default, so the constructor never touches it.
+    sort_key: object = field(init=False, compare=False, repr=False)
+
     def __post_init__(self) -> None:
         self.is_read = self.type is RequestType.READ
 

@@ -71,6 +71,9 @@ class StfmScheduler(Scheduler):
         # needs no per-victim scan over the bank map.
         self._banks_busy: list[dict[BankKey, int]] = [{} for _ in range(num_threads)]
         self._busy_bank_count: list[int] = [0] * num_threads
+        # Buffered (not yet issued) reads per bank and thread: the threads
+        # ``on_issue`` charges interference to.
+        self._waiting: dict[BankKey, dict[int, int]] = {}
         self._last_decay = 0
         # Incrementally maintained slowdown table: ``select`` runs once per
         # bank wake and recomputing every thread's slowdown each time is
@@ -147,6 +150,10 @@ class StfmScheduler(Scheduler):
         bank_counts[key] = before + 1
         if before == 0:
             self._busy_bank_count[tid] += 1
+        waiting = self._waiting.get(key)
+        if waiting is None:
+            waiting = self._waiting[key] = {}
+        waiting[tid] = waiting.get(tid, 0) + 1
         if now - self._last_decay >= self.interval_length:
             self._decay(now)
         self._sd_dirty[tid] = True
@@ -157,15 +164,21 @@ class StfmScheduler(Scheduler):
             return
         outcome = request.service_outcome
         duration = outcome.bank_free - outcome.start if outcome is not None else 0
-        key: BankKey = (request.channel, request.bank)
         # Charge interference to every *other* thread waiting on this bank
-        # (the controller maintains per-bank thread counts, so no scan).
+        # (this scheduler keeps its own per-bank waiting-thread counts, so
+        # no scan of the request buffer).
         issuer = request.thread_id
+        waiting = self._waiting[(request.channel, request.bank)]
+        left = waiting[issuer] - 1
+        if left:
+            waiting[issuer] = left
+        else:
+            del waiting[issuer]
         t_interference = self._t_interference
         busy_count = self._busy_bank_count
         dirty = self._sd_dirty
         charged = False
-        for tid in self.controller.buffered_read_threads(key):
+        for tid in waiting:
             if tid == issuer:
                 continue
             count = busy_count[tid]

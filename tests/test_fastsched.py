@@ -11,8 +11,9 @@ stream.  Two layers pin this:
 - a randomized differential fuzz that drives both structures through
   hundreds of mixed enqueue/complete/epoch-bump operations per policy,
   checking every observable after every op (this is what exercises the
-  stale-key-array corners: pushes skipped after a bump, removals against
-  stale parallel arrays, minima rebuilds);
+  stale-epoch corners: pushes skipped after a bump, removals before the
+  repack, minima rebuilds) and, whenever the epoch is current, the
+  stamped keys and cached minima against brute force;
 - golden command-stream equivalence over full simulations — every
   scheduler x {4, 8} cores x 2 seeds through the ``test_fastsim``
   harness, comparing the issued DRAM command log entry by entry.
@@ -37,6 +38,9 @@ from tests.test_fastsim import _run
 NUM_THREADS = 4
 ROWS = 4
 FUZZ_OPS = 600
+# ``test_min_rebuilds_pinned``: the count the parallel-key-array index
+# (which kept packed keys in per-row arrays beside the buckets) produced.
+MIN_REBUILDS_PINNED = 134
 
 
 def _attached_scheduler(name: str):
@@ -91,17 +95,39 @@ def _mutate_priority_state(scheduler, rng: random.Random, live, now: int) -> Non
     scheduler.bump_index_epoch(now)
 
 
+def _assert_index_invariants(fast: FastBankSched, scheduler) -> None:
+    """While the index's epoch is current, every buffered request carries
+    the scheduler's key and the cached minima are the brute-force minima
+    (a stale index promises neither until its next ``ensure``)."""
+    if fast.heap_epoch != scheduler.index_epoch:
+        return
+    keyfn = scheduler.pack_key or scheduler.index_key
+    for request in fast.requests():
+        assert request.sort_key == keyfn(request)
+    assert set(fast.row_best) == set(fast.rows)
+    for row, bucket in fast.rows.items():
+        assert fast.row_best[row] is min(bucket, key=keyfn)
+    if fast.size:
+        assert fast.best is min(fast.requests(), key=keyfn)
+    else:
+        assert fast.best is None
+
+
 def _assert_observables_equal(ref: BankReadIndex, fast: FastBankSched, scheduler):
-    # Membership is exact on both sides at all times.
+    # Membership is exact on both sides at all times; the fast index
+    # derives its per-thread counts from the buckets, the reference
+    # maintains them incrementally.
     assert fast.size == ref.size
     assert fast.thread_counts == ref.thread_counts
     assert sorted(r.request_id for r in fast.requests()) == sorted(
         r.request_id for r in ref.requests()
     )
+    _assert_index_invariants(fast, scheduler)
     # Arbitration observables, after the same lazy revalidation the
     # controller performs.
     ref.ensure(scheduler)
     fast.ensure(scheduler)
+    _assert_index_invariants(fast, scheduler)
     ref_best = ref.peek()
     fast_best = fast.peek()
     if ref_best is None:
@@ -157,9 +183,9 @@ def test_kernel_fuzz_matches_rqindex(scheduler_name, seed):
 
 @pytest.mark.parametrize("scheduler_name", SCHEDULER_NAMES)
 def test_kernel_stale_array_removal(scheduler_name):
-    """Directed corner: epoch bump, then an insert (push skipped on the
-    stale arrays), then removal of a pre-bump request — the kernel must
-    drop the desynchronized key array rather than swap-pop the wrong slot."""
+    """Directed corner: epoch bump, then an insert (push skipped: stale
+    epoch, row minimum dropped), then removal of a pre-bump request — the
+    index must not rebuild a minimum from the unstamped insert."""
     scheduler = _attached_scheduler(scheduler_name)
     rng = random.Random(99)
     fast = FastBankSched()
@@ -185,6 +211,55 @@ def test_kernel_stale_array_removal(scheduler_name):
     ref.remove(victim_a)
     fast.remove(victim_b)                       # stale-array drop path
     _assert_observables_equal(ref, fast, scheduler)
+
+
+def _min_rebuild_sequence(scheduler_name: str, seed: int) -> int:
+    """Drive one index through a seeded mix of enqueues, issues, epoch
+    bumps and arbitrations (``ensure``) — no per-op revalidation, so
+    pushes skipped on a stale epoch and removals before the repack both
+    occur — and return its ``min_rebuilds`` count."""
+    scheduler = _attached_scheduler(scheduler_name)
+    rng = random.Random(seed)
+    index = FastBankSched()
+    live: list[MemoryRequest] = []
+    now = 0
+    for _ in range(FUZZ_OPS):
+        now += rng.randrange(1, 5)
+        op = rng.random()
+        if op < 0.45 or not live:
+            request = MemoryRequest(
+                thread_id=rng.randrange(NUM_THREADS),
+                address=rng.randrange(1 << 20) * 64,
+                channel=0,
+                bank=0,
+                row=rng.randrange(ROWS),
+                arrival_time=now,
+            )
+            if scheduler_name == "NFQ":
+                scheduler.on_enqueue(request, now)
+            elif scheduler_name == "PAR-BS":
+                request.marked = rng.random() < 0.5
+            index.add(request)
+            index.push(request, scheduler)
+            live.append(request)
+        elif op < 0.85:
+            index.remove(live.pop(rng.randrange(len(live))))
+        elif op < 0.93:
+            index.ensure(scheduler)
+        else:
+            pairs = [(r, r) for r in live]
+            _mutate_priority_state(scheduler, rng, pairs, now)
+    return index.min_rebuilds
+
+
+def test_min_rebuilds_pinned():
+    """The minimum-rebuild count is part of every WorkloadResult (and of
+    the golden digests), so the index must evict and rebuild cached minima
+    exactly as the parallel-key-array design it replaced did: the total
+    over one seeded sequence per policy is pinned to the count that design
+    produced."""
+    total = sum(_min_rebuild_sequence(name, 2024) for name in SCHEDULER_NAMES)
+    assert total == MIN_REBUILDS_PINNED
 
 
 # -- golden command streams -----------------------------------------------------

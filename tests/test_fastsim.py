@@ -157,10 +157,17 @@ def test_fast_access_request_matches_dataclass_constructor():
         if field.name == "buf_pos":  # set by enqueue, not construction
             assert fast_request.buf_pos == 0
             continue
+        if field.name == "sort_key":  # stamped by the index, checked below
+            continue
         assert getattr(fast_request, field.name) == getattr(
             reference, field.name
         ), field.name
     assert fast_request.is_read is True
+    # Like ``buf_pos``, the sort key belongs to the index: once the bank's
+    # keys are current, the request carries the scheduler's packed key.
+    index = controller._reads[(coords.channel, coords.bank)]
+    index.ensure(controller.scheduler)
+    assert fast_request.sort_key == controller.scheduler.pack_key(fast_request)
 
 
 def _decode_cases():

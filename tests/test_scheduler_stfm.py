@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.config import DramConfig
+from repro.config import DramConfig, baseline_system
 from repro.dram.controller import MemoryController
 from repro.dram.request import MemoryRequest
 from repro.events import EventQueue
 from repro.schedulers.stfm import StfmScheduler
+from repro.sim.system import System
+
+from tests.test_fastsim import _traces
 
 
 def setup_stfm(num_threads=4, **kwargs):
@@ -133,3 +136,40 @@ def test_end_to_end_completes_all():
         controller.enqueue(r)
     queue.run()
     assert len(done) == 16
+
+
+class _CheckedStfm(StfmScheduler):
+    """STFM that, at every read issue, compares the waiting-thread counts
+    it keeps itself with the controller's view of the same bank."""
+
+    def __init__(self, num_threads):
+        super().__init__(num_threads)
+        self.checked = 0
+
+    def on_issue(self, request, now):
+        super().on_issue(request, now)
+        if request.is_read:
+            key = (request.channel, request.bank)
+            assert self._waiting[key] == dict(
+                self.controller.buffered_read_threads(key)
+            ), (now, key)
+            self.checked += 1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("cores", [4, 8])
+@pytest.mark.parametrize("backend", ["python", "fast"])
+def test_own_waiting_counts_match_controller(backend, cores, seed):
+    """STFM charges interference to the threads it counts as waiting on
+    the issuing bank; those counts must equal the controller's buffered
+    reads per thread at every issue, on both backends."""
+    scheduler = _CheckedStfm(cores)
+    system = System(
+        baseline_system(cores),
+        scheduler,
+        list(_traces(cores, seed)),
+        repeat=True,
+        backend=backend,
+    )
+    system.run()
+    assert scheduler.checked > 1000
